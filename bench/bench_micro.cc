@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "clustering/sweep.h"
 #include "common/alias_sampler.h"
 #include "common/random.h"
@@ -23,6 +24,8 @@
 #include "hkpr/power_method.h"
 #include "hkpr/push.h"
 #include "hkpr/random_walk.h"
+#include "hkpr/tea_plus.h"
+#include "hkpr/workspace.h"
 
 namespace {
 
@@ -64,6 +67,52 @@ void BM_HkPushPlus(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(ops));
 }
 BENCHMARK(BM_HkPushPlus)->Arg(100000)->Arg(1000000)->Arg(10000000);
+
+// The R-MAT scaling presets with graph seed 42 (the perfbench graphs).
+const Dataset& RmatPreset(int64_t index) {
+  if (index == 0) {
+    static const Dataset small = bench::MakeScaledGraph("small", 42);
+    return small;
+  }
+  static const Dataset medium = bench::MakeScaledGraph("medium", 42);
+  return medium;
+}
+
+// The serving push kernel: HK-Push+ into one reused QueryWorkspace with
+// TEA+'s service settings (t=5, eps_r=0.5, delta=1/n, its hop cap and push
+// budget) over a fixed cycle of uniform seeds on an R-MAT preset (arg 0 =
+// small, 1 = medium). items_per_second is push operations per second.
+void BM_HkPushPlusInto(benchmark::State& state) {
+  const Dataset& preset = RmatPreset(state.range(0));
+  const Graph& graph = preset.graph;
+  ApproxParams params;
+  params.delta = 1.0 / static_cast<double>(graph.NumNodes());
+  const TeaPlusEstimator tea_plus(graph, params, 0);
+  const HeatKernel kernel(params.t);
+  HkPushPlusOptions options;
+  options.eps_r = params.eps_r;
+  options.delta = params.delta;
+  options.hop_cap = tea_plus.hop_cap();
+  options.push_budget = tea_plus.push_budget();
+  Rng rng(5);
+  std::vector<NodeId> seeds(256);
+  for (NodeId& seed : seeds) {
+    seed = static_cast<NodeId>(rng.UniformInt(graph.NumNodes()));
+  }
+  QueryWorkspace ws;
+  uint64_t ops = 0;
+  size_t next = 0;
+  for (auto _ : state) {
+    const PushCounters counters =
+        HkPushPlusInto(graph, kernel, seeds[next], options, ws);
+    next = (next + 1) % seeds.size();
+    ops += counters.push_operations;
+    benchmark::DoNotOptimize(ws.result);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(ops));
+  state.SetLabel(preset.name);
+}
+BENCHMARK(BM_HkPushPlusInto)->Arg(0)->Arg(1);
 
 void BM_KRandomWalk(benchmark::State& state) {
   const Graph& graph = BenchGraph();

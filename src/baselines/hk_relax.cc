@@ -4,7 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/flat_map.h"
 #include "common/logging.h"
 
 namespace hkpr {
@@ -53,10 +52,15 @@ const SparseVector& HkRelaxEstimator::EstimateInto(NodeId seed,
   // ws.result accumulates the unscaled solution (scaled by e^{-t} at the
   // end). The push queue is FIFO over ws.starts with a moving head — the
   // vector only grows within a query, so steady-state queries reuse its
-  // capacity instead of allocating a deque.
+  // capacity instead of allocating a deque. It holds (entry index, level)
+  // pairs: every level-j item is queued by a level-(j-1) pop, so the queue
+  // is level-ordered, and each (v, j) crosses its threshold, and is queued,
+  // at most once.
   ws.PrepareQuery(n_trunc);
+  ws.hop_index.Reserve(graph_.NumNodes());
+  uint32_t* const slot_of = ws.hop_index.slots();
   SparseVector& x = ws.result;
-  std::vector<std::pair<NodeId, uint32_t>>& queue = ws.starts;
+  std::vector<std::pair<uint32_t, uint32_t>>& queue = ws.starts;
   size_t queue_head = 0;
 
   // Push threshold for an entry (v, j): r >= e^t * eps * d(v) / (2 N psis_j).
@@ -65,19 +69,24 @@ const SparseVector& HkRelaxEstimator::EstimateInto(NodeId seed,
            (2.0 * static_cast<double>(n_trunc) * psis_[j]);
   };
 
-  ws.residues.MutableHop(0)[seed] = 1.0;
+  ws.residues.MutableHop(0).push_back(ResidueEntry{seed, 1.0});
   if (1.0 >= threshold(std::max(graph_.Degree(seed), 1u), 0)) {
-    queue.emplace_back(seed, 0u);
+    queue.emplace_back(0u, 0u);
   }
 
+  // The level whose nodes ws.hop_index currently maps. Level j+1 fills only
+  // while level j pops, so the index moves on (releasing the level it
+  // mapped) at the first pop of the next level.
+  uint32_t indexed = 1;
   uint64_t push_ops = 0;
   uint64_t entries = 0;
   while (queue_head < queue.size()) {
-    const auto [v, j] = queue[queue_head++];
-    double& rv = ws.residues.MutableHop(j)[v];
-    const double mass_v = rv;
-    if (mass_v <= 0.0) continue;  // already consumed by a re-queue
-    rv = 0.0;
+    const auto [i, j] = queue[queue_head++];
+    ResidueEntry& entry = ws.residues.MutableHop(j)[i];
+    const NodeId v = entry.key;
+    const double mass_v = entry.value;
+    if (mass_v <= 0.0) continue;
+    entry.value = 0.0;
     x.Add(v, mass_v);
     ++entries;
     const uint32_t d = graph_.Degree(v);
@@ -85,23 +94,39 @@ const SparseVector& HkRelaxEstimator::EstimateInto(NodeId seed,
     push_ops += d;
 
     if (j == n_trunc) continue;  // deepest level: mass retired into x
+    if (j + 1 == n_trunc) {
+      // Final level: residual would never be pushed again; retire the plain
+      // random-walk share directly (reference implementation's truncation
+      // rule).
+      for (NodeId u : graph_.Neighbors(v)) {
+        x.Add(u, mass_v / static_cast<double>(d));
+      }
+      continue;
+    }
+    if (j + 1 != indexed) {
+      ws.hop_index.Release(ws.residues.Hop(indexed));
+      indexed = j + 1;
+    }
+    std::vector<ResidueEntry>& next = ws.residues.MutableHop(j + 1);
     const double mass =
         mass_v * options_.t / (static_cast<double>(j + 1) * d);
     for (NodeId u : graph_.Neighbors(v)) {
-      if (j + 1 == n_trunc) {
-        // Final level: residual would never be pushed again; retire the
-        // plain random-walk share directly (reference implementation's
-        // truncation rule).
-        x.Add(u, mass_v / static_cast<double>(d));
-        continue;
+      uint32_t& slot = slot_of[u];
+      double before = 0.0;
+      double after = mass;
+      if (slot == HopIndex::kNone) {
+        slot = static_cast<uint32_t>(next.size());
+        next.push_back(ResidueEntry{u, mass});
+      } else {
+        before = next[slot].value;
+        after = before + mass;
+        next[slot].value = after;
       }
-      double& ru = ws.residues.MutableHop(j + 1)[u];
-      const double before = ru;
-      ru = before + mass;
       const double th = threshold(graph_.Degree(u), j + 1);
-      if (before < th && ru >= th) queue.emplace_back(u, j + 1);
+      if (before < th && after >= th) queue.emplace_back(slot, j + 1);
     }
   }
+  ws.hop_index.Release(ws.residues.Hop(indexed));
 
   // Scale to the heat kernel: rho = e^{-t} * x, in place.
   x.Scale(exp_neg_t);

@@ -1,6 +1,7 @@
 #include "hkpr/push.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -8,113 +9,126 @@
 
 namespace hkpr {
 
-PushCounters HkPushInto(const Graph& graph, const HeatKernel& kernel,
-                        NodeId seed, double r_max, QueryWorkspace& ws) {
-  HKPR_CHECK(seed < graph.NumNodes());
-  HKPR_CHECK(r_max > 0.0);
-  const uint32_t max_hop = kernel.MaxHop();
-  ws.PrepareQuery(max_hop);
-  ws.residues.Add(0, seed, 1.0);
-  PushCounters out;
+namespace {
 
-  // Hop-ordered drain: residues only flow k -> k+1, so after hop k is
-  // processed nothing ever re-enters it.
-  for (uint32_t k = 0; k < max_hop; ++k) {
-    auto& hop = ws.residues.MutableHop(k);
-    // Entries appended during this hop's processing belong to hop k+1, so
-    // iterating by index over the growing entry array is safe; hop k's entry
-    // array itself does not grow while we process it.
-    const auto& entries = hop.entries();
-    for (size_t i = 0; i < entries.size(); ++i) {
-      const NodeId v = entries[i].key;
-      const double r = entries[i].value;
-      const uint32_t d = graph.Degree(v);
-      if (d == 0 || r <= r_max * d) continue;
-      const double reserve_frac = kernel.ReserveFraction(k);
-      ws.result.Add(v, reserve_frac * r);
-      const double share = (1.0 - reserve_frac) * r / d;
-      for (NodeId u : graph.Neighbors(v)) {
-        ws.residues.Add(k + 1, u, share);
-      }
-      ws.residues.Zero(k, v);
-      out.push_operations += d;
-      ++out.entries_processed;
+/// HK-Push+'s increase-only upper bounds on max_v r_k[v]/d(v) per hop.
+/// Adding residue raises a hop's bound exactly; zeroing an entry leaves it
+/// stale but still an upper bound, and once hop k is fully drained every
+/// surviving entry is below `threshold`, so the bound is then clamped to it.
+/// The push may stop as soon as the bound sum certifies Inequality (11).
+class ExitBound {
+ public:
+  ExitBound(double eps_a, double threshold, uint32_t cap,
+            uint32_t seed_degree, std::vector<double>& norm_bound)
+      : eps_a_(eps_a), threshold_(threshold), norm_bound_(norm_bound) {
+    norm_bound_.assign(static_cast<size_t>(cap) + 1, 0.0);
+    norm_bound_[0] = seed_degree > 0 ? 1.0 / seed_degree : 0.0;
+    total_ = norm_bound_[0];
+  }
+
+  void Raise(uint32_t k, double norm) {
+    if (norm > norm_bound_[k]) {
+      total_ += norm - norm_bound_[k];
+      norm_bound_[k] = norm;
     }
   }
-  return out;
-}
 
-PushCounters HkPushPlusInto(const Graph& graph, const HeatKernel& kernel,
-                            NodeId seed, const HkPushPlusOptions& options,
-                            QueryWorkspace& ws) {
-  HKPR_CHECK(seed < graph.NumNodes());
-  HKPR_CHECK(options.eps_r > 0.0 && options.delta > 0.0);
-  HKPR_CHECK(options.hop_cap >= 1);
-  const uint32_t cap = std::min(options.hop_cap, kernel.MaxHop());
-  ws.PrepareQuery(cap);
-  ws.residues.Add(0, seed, 1.0);
+  /// Hop k drained: all remaining residues there are below threshold*d(v).
+  void Drained(uint32_t k) {
+    if (norm_bound_[k] > threshold_) {
+      total_ -= norm_bound_[k] - threshold_;
+      norm_bound_[k] = threshold_;
+    }
+  }
+
+  bool Certified() const { return total_ <= eps_a_; }
+
+ private:
+  double eps_a_;
+  double threshold_;
+  std::vector<double>& norm_bound_;
+  double total_;
+};
+
+/// The hop-drain loop HK-Push and HK-Push+ share. Hops 0..max_hop-1 of the
+/// freshly seeded `ws.residues` are drained in ascending order (residues
+/// only flow k -> k+1, so nothing re-enters a drained hop), each in
+/// insertion order, converting every entry with residue above
+/// threshold * d(v). The loop stops before an entry once `budget` push
+/// operations are spent and, when `bound` is given (HK-Push+ with early
+/// exit), after an entry or a hop once it certifies Inequality (11).
+///
+/// Hop k+1 is filled through ws.hop_index, which is released over hop k+1's
+/// entries when hop k ends, on every exit path.
+PushCounters DrainHops(const Graph& graph, const HeatKernel& kernel,
+                       double threshold, uint64_t budget, ExitBound* bound,
+                       QueryWorkspace& ws) {
+  ResidueTable& residues = ws.residues;
+  ws.hop_index.Reserve(graph.NumNodes());
+  uint32_t* const slot_of = ws.hop_index.slots();
   PushCounters out;
-
-  const double eps_a = options.eps_r * options.delta;
-  const double threshold = eps_a / static_cast<double>(cap);
-
-  // Increase-only upper bounds on max_v r_k[v]/d(v) per hop. Adding residue
-  // raises the bound exactly; zeroing an entry leaves it stale but still an
-  // upper bound, and once hop k is fully drained every surviving entry is
-  // below `threshold`, so the bound is then clamped to it. The loop may
-  // terminate as soon as the bound sum certifies Inequality (11).
-  std::vector<double>& norm_bound = ws.norm_bound;
-  norm_bound.assign(static_cast<size_t>(cap) + 1, 0.0);
-  const uint32_t seed_degree = graph.Degree(seed);
-  norm_bound[0] = seed_degree > 0 ? 1.0 / seed_degree : 0.0;
-  double bound_total = norm_bound[0];
-
-  for (uint32_t k = 0; k < cap; ++k) {
-    auto& hop = ws.residues.MutableHop(k);
-    const auto& entries = hop.entries();
+  bool stopped = false;
+  for (uint32_t k = 0; k < residues.max_hop() && !stopped; ++k) {
+    // Hop k does not grow while it drains; only hop k+1 does.
+    std::vector<ResidueEntry>& hop = residues.MutableHop(k);
+    ResidueEntry* const entries = hop.data();
+    const size_t hop_size = hop.size();
+    std::vector<ResidueEntry>& next = residues.MutableHop(k + 1);
+    HKPR_DCHECK(next.empty());
+    // Both hop sums are accumulated locally and written back below; each
+    // still receives its additions and subtractions in the same order.
+    double hop_sum = residues.HopSum(k);
+    double next_sum = residues.HopSum(k + 1);
     const double reserve_frac = kernel.ReserveFraction(k);
-    for (size_t i = 0; i < entries.size(); ++i) {
+    for (size_t i = 0; i < hop_size; ++i) {
       const NodeId v = entries[i].key;
       const double r = entries[i].value;
       const uint32_t d = graph.Degree(v);
       if (d == 0 || r <= threshold * d) continue;
-      if (out.push_operations >= options.push_budget) {
+      if (out.push_operations >= budget) {
         out.hit_budget = true;
-        return out;
+        stopped = true;
+        break;
       }
       ws.result.Add(v, reserve_frac * r);
+      // A divide, not a multiply by 1/d: that rounds differently and would
+      // move later threshold and early-exit decisions.
       const double share = (1.0 - reserve_frac) * r / d;
       for (NodeId u : graph.Neighbors(v)) {
-        const double new_r = ws.residues.Add(k + 1, u, share);
-        const double norm = new_r / graph.Degree(u);
-        if (norm > norm_bound[k + 1]) {
-          bound_total += norm - norm_bound[k + 1];
-          norm_bound[k + 1] = norm;
+        uint32_t& slot = slot_of[u];
+        double new_r = share;
+        if (slot == HopIndex::kNone) {
+          slot = static_cast<uint32_t>(next.size());
+          next.push_back(ResidueEntry{u, share});
+        } else {
+          new_r = next[slot].value += share;
         }
+        next_sum += share;
+        if (bound != nullptr) bound->Raise(k + 1, new_r / graph.Degree(u));
       }
-      ws.residues.Zero(k, v);
+      hop_sum -= r;
+      entries[i].value = 0.0;
       out.push_operations += d;
       ++out.entries_processed;
-
-      if (options.enable_early_exit && bound_total <= eps_a) {
+      if (bound != nullptr && bound->Certified()) {
         out.hit_absolute_target = true;
-        return out;
+        stopped = true;
+        break;
       }
     }
-    // Hop k drained: all remaining residues here are below threshold*d(v).
-    if (norm_bound[k] > threshold) {
-      bound_total -= norm_bound[k] - threshold;
-      norm_bound[k] = threshold;
-    }
-    if (options.enable_early_exit && bound_total <= eps_a) {
-      out.hit_absolute_target = true;
-      return out;
+    residues.MutableHopSum(k) = hop_sum;
+    residues.MutableHopSum(k + 1) = next_sum;
+    ws.hop_index.Release(next);
+    if (bound != nullptr && !stopped) {
+      bound->Drained(k);
+      if (bound->Certified()) {
+        out.hit_absolute_target = true;
+        stopped = true;
+      }
     }
   }
   return out;
 }
-
-namespace {
 
 PushResult ToPushResult(QueryWorkspace&& ws, const PushCounters& counters) {
   PushResult out{std::move(ws.result), std::move(ws.residues)};
@@ -126,6 +140,36 @@ PushResult ToPushResult(QueryWorkspace&& ws, const PushCounters& counters) {
 }
 
 }  // namespace
+
+PushCounters HkPushInto(const Graph& graph, const HeatKernel& kernel,
+                        NodeId seed, double r_max, QueryWorkspace& ws) {
+  HKPR_CHECK(seed < graph.NumNodes());
+  HKPR_CHECK(r_max > 0.0);
+  ws.PrepareQuery(kernel.MaxHop());
+  ws.residues.Append(0, seed, 1.0);
+  return DrainHops(graph, kernel, r_max,
+                          std::numeric_limits<uint64_t>::max(), nullptr, ws);
+}
+
+PushCounters HkPushPlusInto(const Graph& graph, const HeatKernel& kernel,
+                            NodeId seed, const HkPushPlusOptions& options,
+                            QueryWorkspace& ws) {
+  HKPR_CHECK(seed < graph.NumNodes());
+  HKPR_CHECK(options.eps_r > 0.0 && options.delta > 0.0);
+  HKPR_CHECK(options.hop_cap >= 1);
+  const uint32_t cap = std::min(options.hop_cap, kernel.MaxHop());
+  ws.PrepareQuery(cap);
+  ws.residues.Append(0, seed, 1.0);
+  const double eps_a = options.eps_r * options.delta;
+  const double threshold = eps_a / static_cast<double>(cap);
+  if (!options.enable_early_exit) {
+    return DrainHops(graph, kernel, threshold, options.push_budget,
+                            nullptr, ws);
+  }
+  ExitBound bound(eps_a, threshold, cap, graph.Degree(seed), ws.norm_bound);
+  return DrainHops(graph, kernel, threshold, options.push_budget,
+                         &bound, ws);
+}
 
 PushResult HkPush(const Graph& graph, const HeatKernel& kernel, NodeId seed,
                   double r_max) {

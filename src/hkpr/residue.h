@@ -1,4 +1,5 @@
-// Multi-hop residue storage for HK-Push / HK-Push+.
+// Multi-hop residue storage for HK-Push / HK-Push+ (and HK-Relax's Taylor
+// levels).
 //
 // Unlike personalized-PageRank push methods (FORA et al.), heat-kernel push
 // must keep residues generated at different hop counts separate, because the
@@ -7,9 +8,17 @@
 // sparse storage plus the running aggregates TEA/TEA+ need: per-hop sums
 // (for beta_k and alpha) and the total.
 //
+// Layout: each hop is a plain insertion-ordered vector of {node, residue}
+// entries, with no per-hop hash table. Residue mass only moves from hop k to
+// hop k+1, hop k+1 is empty when the drain of hop k starts, and only the hop
+// being filled is ever looked up by node. So a single node -> entry index
+// (HopIndex, owned by the query workspace) serves every hop in turn: it maps
+// the nodes of the hop being filled and is released, by walking that hop's
+// entries, before the next hop starts filling and on every exit path.
+//
 // A table can be Reset() and reused across queries: hop storage only ever
-// grows, and the per-hop maps keep their capacity through clears, so a
-// steady-state query sequence performs no heap allocations here.
+// grows and keeps its capacity through clears, so a steady-state query
+// sequence performs no heap allocations here.
 
 #ifndef HKPR_HKPR_RESIDUE_H_
 #define HKPR_HKPR_RESIDUE_H_
@@ -18,10 +27,52 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/flat_map.h"
 #include "graph/graph.h"
 
 namespace hkpr {
+
+/// One residue r_k[key] = value of a hop.
+struct ResidueEntry {
+  NodeId key;
+  double value;
+};
+
+/// Dense node -> entry-index map for the one hop being filled.
+///
+/// Invariant: between fills every slot holds kNone. A kernel inserts each
+/// new node of the hop it fills through slots(), and calls Release() on that
+/// hop before the index serves another hop or another query, which restores
+/// the invariant in O(entries) rather than O(n). Storage only grows, so it is
+/// allocation-free once it has seen the largest graph.
+class HopIndex {
+ public:
+  static constexpr uint32_t kNone = 0xFFFFFFFFu;
+
+  /// Makes every node id below `num_nodes` addressable. New slots are kNone.
+  void Reserve(size_t num_nodes) {
+    if (slots_.size() < num_nodes) slots_.resize(num_nodes, kNone);
+  }
+
+  /// slots()[v] is v's entry index in the hop being filled, or kNone.
+  uint32_t* slots() { return slots_.data(); }
+
+  /// Returns the slot of every node in `filled` to kNone; `filled` must hold
+  /// exactly the entries inserted through this index since the last Release.
+  void Release(const std::vector<ResidueEntry>& filled) {
+    for (const ResidueEntry& e : filled) slots_[e.key] = kNone;
+  }
+
+  /// True when every slot holds kNone. O(n); for tests.
+  bool IsReleased() const {
+    return std::all_of(slots_.begin(), slots_.end(),
+                       [](uint32_t s) { return s == kNone; });
+  }
+
+  size_t MemoryBytes() const { return slots_.capacity() * sizeof(uint32_t); }
+
+ private:
+  std::vector<uint32_t> slots_;
+};
 
 /// Sparse residue vectors r_s^(0..max_hop) with maintained hop sums.
 class ResidueTable {
@@ -36,35 +87,42 @@ class ResidueTable {
     const size_t needed = static_cast<size_t>(max_hop) + 1;
     if (hops_.size() < needed) hops_.resize(needed);
     num_hops_ = needed;
-    for (auto& hop : hops_) hop.Clear();
+    for (auto& hop : hops_) hop.clear();
     hop_sum_.assign(hops_.size(), 0.0);
   }
 
   uint32_t max_hop() const { return static_cast<uint32_t>(num_hops_ - 1); }
 
-  /// Current residue r_k[v] (0 if absent).
-  double Get(uint32_t k, NodeId v) const { return hops_[k].GetOr(v, 0.0); }
-
-  /// Adds `delta` to r_k[v]; returns the new value.
-  double Add(uint32_t k, NodeId v, double delta) {
-    double& slot = hops_[k][v];
-    slot += delta;
-    hop_sum_[k] += delta;
-    return slot;
+  /// Current residue r_k[v] (0 if absent). A linear scan of hop k, for
+  /// inspection; kernels address entries by index.
+  double Get(uint32_t k, NodeId v) const {
+    for (const ResidueEntry& e : hops_[k]) {
+      if (e.key == v) return e.value;
+    }
+    return 0.0;
   }
 
-  /// Sets r_k[v] to zero (the entry remains allocated with value 0).
-  void Zero(uint32_t k, NodeId v) {
-    double* slot = hops_[k].Find(v);
-    if (slot != nullptr) {
-      hop_sum_[k] -= *slot;
-      *slot = 0.0;
-    }
+  /// Appends r_k[v] = value to hop k, which must not hold v yet, and adds
+  /// `value` to the hop sum. Returns the new entry's index.
+  uint32_t Append(uint32_t k, NodeId v, double value) {
+    hops_[k].push_back(ResidueEntry{v, value});
+    hop_sum_[k] += value;
+    return static_cast<uint32_t>(hops_[k].size() - 1);
+  }
+
+  /// Sets entry i of hop k to zero (the entry stays, with value 0).
+  void ZeroAt(uint32_t k, uint32_t i) {
+    hop_sum_[k] -= hops_[k][i].value;
+    hops_[k][i].value = 0.0;
   }
 
   /// Sum of residues at hop k (maintained incrementally; see RecomputeSums
   /// for use after bulk mutation).
   double HopSum(uint32_t k) const { return hop_sum_[k]; }
+
+  /// The hop sum itself, for a kernel that accumulates it in a register and
+  /// writes it back.
+  double& MutableHopSum(uint32_t k) { return hop_sum_[k]; }
 
   /// alpha = sum over all hops and nodes of the residues.
   double TotalSum() const {
@@ -73,15 +131,16 @@ class ResidueTable {
     return s;
   }
 
-  const FlatMap<double>& Hop(uint32_t k) const { return hops_[k]; }
-  FlatMap<double>& MutableHop(uint32_t k) { return hops_[k]; }
+  /// Hop k's entries in insertion order.
+  const std::vector<ResidueEntry>& Hop(uint32_t k) const { return hops_[k]; }
+  std::vector<ResidueEntry>& MutableHop(uint32_t k) { return hops_[k]; }
 
   /// Recomputes hop sums by scanning entries; call after mutating residues
   /// directly through MutableHop (e.g. TEA+'s residue reduction).
   void RecomputeSums() {
     for (size_t k = 0; k < num_hops_; ++k) {
       double s = 0.0;
-      for (const auto& e : hops_[k].entries()) s += e.value;
+      for (const ResidueEntry& e : hops_[k]) s += e.value;
       hop_sum_[k] = s;
     }
   }
@@ -92,7 +151,7 @@ class ResidueTable {
     double total = 0.0;
     for (size_t k = 0; k < num_hops_; ++k) {
       double best = 0.0;
-      for (const auto& e : hops_[k].entries()) {
+      for (const ResidueEntry& e : hops_[k]) {
         if (e.value <= 0.0) continue;
         const double norm = e.value / graph.Degree(e.key);
         if (norm > best) best = norm;
@@ -113,7 +172,7 @@ class ResidueTable {
   size_t TotalNonZeros() const {
     size_t n = 0;
     for (size_t k = 0; k < num_hops_; ++k) {
-      for (const auto& e : hops_[k].entries()) {
+      for (const ResidueEntry& e : hops_[k]) {
         if (e.value > 0.0) ++n;
       }
     }
@@ -122,12 +181,13 @@ class ResidueTable {
 
   size_t MemoryBytes() const {
     size_t b = hop_sum_.capacity() * sizeof(double);
-    for (const auto& hop : hops_) b += hop.MemoryBytes();
+    for (const auto& hop : hops_) b += hop.capacity() * sizeof(ResidueEntry);
     return b;
   }
 
  private:
-  std::vector<FlatMap<double>> hops_;  // may exceed num_hops_ after Reset
+  // May exceed num_hops_ after Reset.
+  std::vector<std::vector<ResidueEntry>> hops_;
   std::vector<double> hop_sum_;
   size_t num_hops_ = 1;
 };

@@ -1,13 +1,14 @@
 // Reusable per-query scratch state for the HKPR estimators.
 //
 // Every Estimate() call needs the same family of buffers: a reserve/result
-// vector, a multi-hop residue table, the HK-Push+ bound array, flattened
-// walk-start arrays with their alias table, and (for the parallel
-// estimators) per-thread walk accumulators. Allocating these from scratch
-// per query is the dominant fixed cost of small queries; a QueryWorkspace
-// owns all of them and is reset — never reallocated — between queries, so a
-// steady-state query stream performs zero heap allocations (verified by the
-// workspace tests with the AllocCounters hook in common/mem_tracker.h).
+// vector, a multi-hop residue table with its dense node index, the HK-Push+
+// bound array, flattened walk-start arrays with their alias table, and (for
+// the parallel estimators) per-thread walk accumulators. Allocating these
+// from scratch per query is the dominant fixed cost of small queries; a
+// QueryWorkspace owns all of them and is reset — never reallocated —
+// between queries, so a steady-state query stream performs zero heap
+// allocations (verified by the workspace tests with the AllocCounters hook
+// in common/mem_tracker.h).
 //
 // A workspace is not thread-safe; the intended pattern is one workspace per
 // serving thread (see BatchQueryEngine in hkpr/queries.h). The per-thread
@@ -48,6 +49,10 @@ class QueryWorkspace {
 
   /// Residue table for the push phase; Reset() between queries.
   ResidueTable residues{0};
+
+  /// Node -> entry index of the residue hop being filled (see HopIndex).
+  /// Sized to the largest graph seen; every slot is kNone between queries.
+  HopIndex hop_index;
 
   /// HK-Push+ per-hop normalized-residue upper bounds.
   std::vector<double> norm_bound;

@@ -285,6 +285,8 @@ TEST(PushGoldenTest, WorkspaceReuseMatchesFreshWorkspace) {
     EXPECT_EQ(RunReuseQuery(sequence[i], reused),
               RunReuseQuery(sequence[i], fresh))
         << "query " << i;
+    // Every exit path hands the node index back with all slots empty.
+    EXPECT_TRUE(reused.hop_index.IsReleased()) << "query " << i;
   }
 }
 

@@ -24,7 +24,7 @@ double Lemma1Deviation(const Graph& g, const HeatKernel& kernel, NodeId seed,
     reconstructed[v] = push.reserve.Get(v);
   }
   for (uint32_t k = 0; k <= push.residues.max_hop(); ++k) {
-    for (const auto& e : push.residues.Hop(k).entries()) {
+    for (const auto& e : push.residues.Hop(k)) {
       if (e.value <= 0.0) continue;
       const std::vector<double> h = testing::ExactH(g, kernel, e.key, k);
       for (NodeId v = 0; v < g.NumNodes(); ++v) {
@@ -91,7 +91,7 @@ TEST(HkPushTest, ResiduesRespectThreshold) {
   PushResult push = HkPush(g, kernel, 5, r_max);
   // Below the final hop, every remaining residue obeys r <= r_max * d(v).
   for (uint32_t k = 0; k < kernel.MaxHop(); ++k) {
-    for (const auto& e : push.residues.Hop(k).entries()) {
+    for (const auto& e : push.residues.Hop(k)) {
       EXPECT_LE(e.value, r_max * g.Degree(e.key) + 1e-12)
           << "hop " << k << " node " << e.key;
     }
@@ -200,22 +200,22 @@ TEST(HkPushPlusTest, MassConservation) {
 
 TEST(ResidueTableTest, SumsMaintained) {
   ResidueTable table(3);
-  table.Add(0, 5, 0.5);
-  table.Add(0, 6, 0.25);
-  table.Add(2, 5, 0.1);
+  const uint32_t node5 = table.Append(0, 5, 0.5);
+  table.Append(0, 6, 0.25);
+  table.Append(2, 5, 0.1);
   EXPECT_DOUBLE_EQ(table.HopSum(0), 0.75);
   EXPECT_DOUBLE_EQ(table.HopSum(2), 0.1);
   EXPECT_DOUBLE_EQ(table.TotalSum(), 0.85);
-  table.Zero(0, 5);
+  table.ZeroAt(0, node5);
   EXPECT_DOUBLE_EQ(table.HopSum(0), 0.25);
   EXPECT_DOUBLE_EQ(table.Get(0, 5), 0.0);
 }
 
 TEST(ResidueTableTest, RecomputeAfterDirectMutation) {
   ResidueTable table(1);
-  table.Add(0, 1, 0.6);
-  table.Add(1, 2, 0.4);
-  for (auto& e : table.MutableHop(0).mutable_entries()) e.value *= 0.5;
+  table.Append(0, 1, 0.6);
+  table.Append(1, 2, 0.4);
+  for (auto& e : table.MutableHop(0)) e.value *= 0.5;
   table.RecomputeSums();
   EXPECT_DOUBLE_EQ(table.HopSum(0), 0.3);
   EXPECT_DOUBLE_EQ(table.TotalSum(), 0.7);
@@ -224,19 +224,38 @@ TEST(ResidueTableTest, RecomputeAfterDirectMutation) {
 TEST(ResidueTableTest, MaxNormalizedResidueSum) {
   Graph g = testing::MakeStar(4);  // d(0)=3, d(1..3)=1
   ResidueTable table(1);
-  table.Add(0, 0, 0.9);  // 0.9/3 = 0.3
-  table.Add(1, 1, 0.2);  // 0.2/1 = 0.2
-  table.Add(1, 2, 0.1);  // 0.1
+  table.Append(0, 0, 0.9);  // 0.9/3 = 0.3
+  table.Append(1, 1, 0.2);  // 0.2/1 = 0.2
+  table.Append(1, 2, 0.1);  // 0.1
   EXPECT_DOUBLE_EQ(table.MaxNormalizedResidueSum(g), 0.3 + 0.2);
 }
 
 TEST(ResidueTableTest, NonZeroCountSkipsZeroedEntries) {
   ResidueTable table(0);
-  table.Add(0, 1, 0.5);
-  table.Add(0, 2, 0.5);
-  table.Zero(0, 1);
+  const uint32_t node1 = table.Append(0, 1, 0.5);
+  table.Append(0, 2, 0.5);
+  table.ZeroAt(0, node1);
   EXPECT_EQ(table.TotalNonZeros(), 1u);
   EXPECT_EQ(table.TotalEntries(), 2u);
+}
+
+TEST(HopIndexTest, ReleaseRestoresSentinelsAndGrowthKeepsThem) {
+  HopIndex index;
+  index.Reserve(8);
+  EXPECT_TRUE(index.IsReleased());
+  std::vector<ResidueEntry> hop;
+  for (NodeId v : {5u, 2u, 7u}) {
+    index.slots()[v] = static_cast<uint32_t>(hop.size());
+    hop.push_back(ResidueEntry{v, 1.0});
+  }
+  EXPECT_EQ(index.slots()[2], 1u);
+  EXPECT_FALSE(index.IsReleased());
+  index.Release(hop);
+  EXPECT_TRUE(index.IsReleased());
+  index.Reserve(4);  // never shrinks
+  index.Reserve(32);
+  EXPECT_TRUE(index.IsReleased());
+  EXPECT_GE(index.MemoryBytes(), 32 * sizeof(uint32_t));
 }
 
 }  // namespace

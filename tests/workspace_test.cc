@@ -75,6 +75,52 @@ void operator delete[](void* p, std::size_t, std::align_val_t a) noexcept {
   ::operator delete(p, a);
 }
 
+// The nothrow forms (std::stable_sort's temporary buffer uses them) must be
+// replaced too: otherwise they come from the runtime's allocator while the
+// plain delete above frees with std::free, which ASan reports as an
+// alloc-dealloc mismatch.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  hkpr::AllocCounters::RecordAllocation();
+  return std::malloc(size);
+}
+
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
+
+void* operator new(std::size_t size, std::align_val_t align,
+                   const std::nothrow_t&) noexcept {
+  hkpr::AllocCounters::RecordAllocation();
+  void* p = nullptr;
+  if (posix_memalign(&p, static_cast<std::size_t>(align), size) != 0) {
+    return nullptr;
+  }
+  return p;
+}
+
+void* operator new[](std::size_t size, std::align_val_t align,
+                     const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, align, tag);
+}
+
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  ::operator delete(p);
+}
+
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  ::operator delete(p);
+}
+
+void operator delete(void* p, std::align_val_t a,
+                     const std::nothrow_t&) noexcept {
+  ::operator delete(p, a);
+}
+
+void operator delete[](void* p, std::align_val_t a,
+                       const std::nothrow_t&) noexcept {
+  ::operator delete(p, a);
+}
+
 // ---------------------------------------------------------------------------
 
 namespace hkpr {
