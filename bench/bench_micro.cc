@@ -10,6 +10,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -68,20 +70,60 @@ void BM_HkPushPlus(benchmark::State& state) {
 }
 BENCHMARK(BM_HkPushPlus)->Arg(100000)->Arg(1000000)->Arg(10000000);
 
-// The R-MAT scaling presets with graph seed 42 (the perfbench graphs).
+// The R-MAT scaling presets with graph seed 42 (the perfbench graphs):
+// 0 = small, 1 = medium, 2 = large.
 const Dataset& RmatPreset(int64_t index) {
   if (index == 0) {
     static const Dataset small = bench::MakeScaledGraph("small", 42);
     return small;
   }
-  static const Dataset medium = bench::MakeScaledGraph("medium", 42);
-  return medium;
+  if (index == 1) {
+    static const Dataset medium = bench::MakeScaledGraph("medium", 42);
+    return medium;
+  }
+  static const Dataset large = bench::MakeScaledGraph("large", 42);
+  return large;
+}
+
+/// FNV-1a over the bits of a push phase's output: the result entries, every
+/// residue hop's entries and sum, and the work counters, in order.
+uint64_t PushChecksum(uint64_t hash, const QueryWorkspace& ws,
+                      const PushCounters& counters) {
+  const auto mix = [&hash](uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      hash ^= (word >> (8 * i)) & 0xFF;
+      hash *= 1099511628211ULL;
+    }
+  };
+  const auto mix_double = [&mix](double x) {
+    mix(std::bit_cast<uint64_t>(x));
+  };
+  for (const auto& e : ws.result.entries()) {
+    mix(e.key);
+    mix_double(e.value);
+  }
+  for (uint32_t k = 0; k <= ws.residues.max_hop(); ++k) {
+    for (const ResidueEntry& e : ws.residues.Hop(k)) {
+      mix(e.key);
+      mix_double(e.value);
+    }
+    mix_double(ws.residues.HopSum(k));
+  }
+  mix(counters.push_operations);
+  mix(counters.entries_processed);
+  mix(counters.hit_absolute_target ? 1 : 0);
+  mix(counters.hit_budget ? 1 : 0);
+  return hash;
 }
 
 // The serving push kernel: HK-Push+ into one reused QueryWorkspace with
 // TEA+'s service settings (t=5, eps_r=0.5, delta=1/n, its hop cap and push
 // budget) over a fixed cycle of uniform seeds on an R-MAT preset (arg 0 =
-// small, 1 = medium). items_per_second is push operations per second.
+// small, 1 = medium, 2 = large). items_per_second is push operations per
+// second. After timing, one untimed pass over the seed cycle hashes every
+// query's output: the `checksum` counter (the 64-bit FNV-1a folded to 32
+// bits, exact in a double) and the label's fnv= (all 64 bits) only change
+// when a kernel change moves results.
 void BM_HkPushPlusInto(benchmark::State& state) {
   const Dataset& preset = RmatPreset(state.range(0));
   const Graph& graph = preset.graph;
@@ -110,9 +152,20 @@ void BM_HkPushPlusInto(benchmark::State& state) {
     benchmark::DoNotOptimize(ws.result);
   }
   state.SetItemsProcessed(static_cast<int64_t>(ops));
-  state.SetLabel(preset.name);
+  uint64_t checksum = 14695981039346656037ULL;
+  for (NodeId seed : seeds) {
+    const PushCounters counters =
+        HkPushPlusInto(graph, kernel, seed, options, ws);
+    checksum = PushChecksum(checksum, ws, counters);
+  }
+  state.counters["checksum"] =
+      static_cast<double>(static_cast<uint32_t>(checksum ^ (checksum >> 32)));
+  char label[64];
+  std::snprintf(label, sizeof(label), "%s fnv=%016llx", preset.name.c_str(),
+                static_cast<unsigned long long>(checksum));
+  state.SetLabel(label);
 }
-BENCHMARK(BM_HkPushPlusInto)->Arg(0)->Arg(1);
+BENCHMARK(BM_HkPushPlusInto)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_KRandomWalk(benchmark::State& state) {
   const Graph& graph = BenchGraph();

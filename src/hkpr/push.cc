@@ -1,11 +1,19 @@
 #include "hkpr/push.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <utility>
 #include <vector>
 
 #include "common/logging.h"
+
+// Two things here rest on IEEE-754 round-to-nearest arithmetic done exactly
+// as written: the kernels' bit-identity (PushGoldenTest) and the exactness of
+// the divide-free exit-bound pre-test (MayRaiseNormBound in push.h).
+#ifdef __FAST_MATH__
+#error "push.cc needs IEEE-754 arithmetic: -ffast-math breaks the push kernels' bit-identity and the exactness of the exit-bound pre-test"
+#endif
 
 namespace hkpr {
 
@@ -24,6 +32,12 @@ class ExitBound {
     norm_bound_.assign(static_cast<size_t>(cap) + 1, 0.0);
     norm_bound_[0] = seed_degree > 0 ? 1.0 / seed_degree : 0.0;
     total_ = norm_bound_[0];
+  }
+
+  /// Raise(k, r / d) for a residue r >= 0 of a node of degree d, with the
+  /// divide taken only when MayRaiseNormBound says the bound can move.
+  void Offer(uint32_t k, double r, uint32_t d) {
+    if (MayRaiseNormBound(r, d, norm_bound_[k])) Raise(k, r / d);
   }
 
   void Raise(uint32_t k, double norm) {
@@ -58,23 +72,29 @@ class ExitBound {
 /// operations are spent and, when `bound` is given (HK-Push+ with early
 /// exit), after an entry or a hop once it certifies Inequality (11).
 ///
-/// Hop k+1 is filled through ws.hop_index, which is released over hop k+1's
-/// entries when hop k ends, on every exit path.
+/// Hop k+1 is filled through ws.next_hop: every neighbor adds its share to
+/// a dense per-node slot and is listed on its first touch, with no
+/// data-dependent branch. When hop k ends, on every exit path, the list is
+/// flushed into hop k+1's entry vector, which restores the sentinels. Each
+/// slot receives its shares in scatter order and the hop's entries come out
+/// in first-touch order, so entries, values and sums are bit-identical to
+/// the recorded PushGoldenTest hashes.
 PushCounters DrainHops(const Graph& graph, const HeatKernel& kernel,
                        double threshold, uint64_t budget, ExitBound* bound,
                        QueryWorkspace& ws) {
   ResidueTable& residues = ws.residues;
-  ws.hop_index.Reserve(graph.NumNodes());
-  uint32_t* const slot_of = ws.hop_index.slots();
+  ws.next_hop.Reserve(graph.NumNodes());
+  double* const acc = ws.next_hop.values();
+  NodeId* const touched = ws.next_hop.touched();
   PushCounters out;
   bool stopped = false;
   for (uint32_t k = 0; k < residues.max_hop() && !stopped; ++k) {
-    // Hop k does not grow while it drains; only hop k+1 does.
+    // Hop k does not grow while it drains; hop k+1 fills in ws.next_hop.
     std::vector<ResidueEntry>& hop = residues.MutableHop(k);
     ResidueEntry* const entries = hop.data();
     const size_t hop_size = hop.size();
-    std::vector<ResidueEntry>& next = residues.MutableHop(k + 1);
-    HKPR_DCHECK(next.empty());
+    HKPR_DCHECK(residues.Hop(k + 1).empty());
+    size_t tail = 0;
     // Both hop sums are accumulated locally and written back below; each
     // still receives its additions and subtractions in the same order.
     double hop_sum = residues.HopSum(k);
@@ -95,16 +115,13 @@ PushCounters DrainHops(const Graph& graph, const HeatKernel& kernel,
       // move later threshold and early-exit decisions.
       const double share = (1.0 - reserve_frac) * r / d;
       for (NodeId u : graph.Neighbors(v)) {
-        uint32_t& slot = slot_of[u];
-        double new_r = share;
-        if (slot == HopIndex::kNone) {
-          slot = static_cast<uint32_t>(next.size());
-          next.push_back(ResidueEntry{u, share});
-        } else {
-          new_r = next[slot].value += share;
-        }
+        const double before = acc[u];
+        const double new_r = before + share;
+        acc[u] = new_r;
+        touched[tail] = u;
+        tail += std::signbit(before);
         next_sum += share;
-        if (bound != nullptr) bound->Raise(k + 1, new_r / graph.Degree(u));
+        if (bound != nullptr) bound->Offer(k + 1, new_r, graph.Degree(u));
       }
       hop_sum -= r;
       entries[i].value = 0.0;
@@ -118,7 +135,7 @@ PushCounters DrainHops(const Graph& graph, const HeatKernel& kernel,
     }
     residues.MutableHopSum(k) = hop_sum;
     residues.MutableHopSum(k + 1) = next_sum;
-    ws.hop_index.Release(next);
+    ws.next_hop.Flush(tail, residues.MutableHop(k + 1));
     if (bound != nullptr && !stopped) {
       bound->Drained(k);
       if (bound->Certified()) {
@@ -147,8 +164,8 @@ PushCounters HkPushInto(const Graph& graph, const HeatKernel& kernel,
   HKPR_CHECK(r_max > 0.0);
   ws.PrepareQuery(kernel.MaxHop());
   ws.residues.Append(0, seed, 1.0);
-  return DrainHops(graph, kernel, r_max,
-                          std::numeric_limits<uint64_t>::max(), nullptr, ws);
+  return DrainHops(graph, kernel, r_max, std::numeric_limits<uint64_t>::max(),
+                   nullptr, ws);
 }
 
 PushCounters HkPushPlusInto(const Graph& graph, const HeatKernel& kernel,
@@ -163,12 +180,11 @@ PushCounters HkPushPlusInto(const Graph& graph, const HeatKernel& kernel,
   const double eps_a = options.eps_r * options.delta;
   const double threshold = eps_a / static_cast<double>(cap);
   if (!options.enable_early_exit) {
-    return DrainHops(graph, kernel, threshold, options.push_budget,
-                            nullptr, ws);
+    return DrainHops(graph, kernel, threshold, options.push_budget, nullptr,
+                     ws);
   }
   ExitBound bound(eps_a, threshold, cap, graph.Degree(seed), ws.norm_bound);
-  return DrainHops(graph, kernel, threshold, options.push_budget,
-                         &bound, ws);
+  return DrainHops(graph, kernel, threshold, options.push_budget, &bound, ws);
 }
 
 PushResult HkPush(const Graph& graph, const HeatKernel& kernel, NodeId seed,

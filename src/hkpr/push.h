@@ -66,6 +66,23 @@ struct HkPushPlusOptions {
 PushResult HkPushPlus(const Graph& graph, const HeatKernel& kernel,
                       NodeId seed, const HkPushPlusOptions& options);
 
+/// HK-Push+'s divide-free pre-test before raising a hop's bound `bound` on
+/// max_v r_k[v]/d(v) with residue `r` >= 0 at a node of degree `d`: returns
+/// false only if fl(r / d) > bound is false, so the exact divide and compare
+/// may be skipped.
+///
+/// Why it never rejects a raise: rounding to nearest is monotone and
+/// `bound` is a double, so r/d <= bound would give fl(r/d) <= fl(bound) =
+/// bound; hence fl(r/d) > bound implies r > bound*d exactly. By the same
+/// monotonicity, and because r is a double, r > bound*d implies
+/// fl(bound*d) <= fl(r) = r, which is the test (d converts to double
+/// exactly). Both steps hold for zero, subnormals and overflow alike, so no
+/// slack factor is needed. It rests on IEEE-754 arithmetic; push.cc refuses
+/// to build under -ffast-math.
+inline bool MayRaiseNormBound(double r, uint32_t d, double bound) {
+  return r >= bound * d;
+}
+
 /// Work counters of a workspace-based push phase. Plain value type so the
 /// allocation-free entry points below have nothing to heap-allocate.
 struct PushCounters {

@@ -11,10 +11,20 @@
 // Layout: each hop is a plain insertion-ordered vector of {node, residue}
 // entries, with no per-hop hash table. Residue mass only moves from hop k to
 // hop k+1, hop k+1 is empty when the drain of hop k starts, and only the hop
-// being filled is ever looked up by node. So a single node -> entry index
-// (HopIndex, owned by the query workspace) serves every hop in turn: it maps
-// the nodes of the hop being filled and is released, by walking that hop's
-// entries, before the next hop starts filling and on every exit path.
+// being filled is ever looked up by node. Two workspace-owned dense helpers
+// serve that one hop:
+//
+//  - HopAccumulator (HK-Push, HK-Push+): a double per node plus a first-touch
+//    node list. The drain adds each share straight into the node's slot and
+//    appends the hop's entries from the list when the hop closes, so the hop
+//    vector is written once, in first-touch (= insertion) order. 12 bytes
+//    per node.
+//  - HopIndex (HK-Relax only): a node -> entry index, 4 bytes per node.
+//    HK-Relax queues entry indices of a level that is still filling, which
+//    an accumulator cannot hand out.
+//
+// Both hold a sentinel in every slot between fills and are reset by walking
+// the hop they filled, in O(entries) rather than O(n), on every exit path.
 //
 // A table can be Reset() and reused across queries: hop storage only ever
 // grows and keeps its capacity through clears, so a steady-state query
@@ -24,6 +34,7 @@
 #define HKPR_HKPR_RESIDUE_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -37,7 +48,7 @@ struct ResidueEntry {
   double value;
 };
 
-/// Dense node -> entry-index map for the one hop being filled.
+/// Dense node -> entry-index map for the one level HK-Relax is filling.
 ///
 /// Invariant: between fills every slot holds kNone. A kernel inserts each
 /// new node of the hop it fills through slots(), and calls Release() on that
@@ -72,6 +83,62 @@ class HopIndex {
 
  private:
   std::vector<uint32_t> slots_;
+};
+
+/// Dense per-node accumulator for the one hop HK-Push / HK-Push+ is filling.
+///
+/// Invariant: between fills every value slot holds kUntouched (-0.0). A
+/// filling kernel adds each share into values()[u] and writes u at the tail
+/// of touched(), advancing the tail only when the slot held -0.0 before the
+/// add, so touched()[0..tail) lists the hop's nodes in first-touch order
+/// without a branch. -0.0 works as the sentinel because -0.0 + x == x
+/// exactly for every x >= 0 (the first add stores the share's own bits) and
+/// no sum of non-negative shares is -0.0, so the sign bit alone says
+/// "untouched". Flush() moves the filled hop into its entry vector and
+/// restores the sentinels. Storage only grows, so it is allocation-free once
+/// it has seen the largest graph.
+class HopAccumulator {
+ public:
+  static constexpr double kUntouched = -0.0;
+
+  /// Makes every node id below `num_nodes` addressable. New value slots are
+  /// kUntouched; touched() gets one spare slot for the unconditional tail
+  /// write after the last first touch.
+  void Reserve(size_t num_nodes) {
+    if (values_.size() < num_nodes) values_.resize(num_nodes, kUntouched);
+    if (touched_.size() < num_nodes + 1) touched_.resize(num_nodes + 1);
+  }
+
+  double* values() { return values_.data(); }
+  NodeId* touched() { return touched_.data(); }
+
+  /// Appends {u, values()[u]} for u = touched()[0..count) to `hop`, in that
+  /// order, and returns those slots to kUntouched. `count` must be the tail
+  /// of the fill since the last Flush.
+  void Flush(size_t count, std::vector<ResidueEntry>& hop) {
+    for (size_t i = 0; i < count; ++i) {
+      const NodeId u = touched_[i];
+      hop.push_back(ResidueEntry{u, values_[u]});
+      values_[u] = kUntouched;
+    }
+  }
+
+  /// True when every value slot holds kUntouched, bit for bit. O(n); for
+  /// tests.
+  bool IsClear() const {
+    return std::all_of(values_.begin(), values_.end(), [](double x) {
+      return std::bit_cast<uint64_t>(x) == std::bit_cast<uint64_t>(kUntouched);
+    });
+  }
+
+  size_t MemoryBytes() const {
+    return values_.capacity() * sizeof(double) +
+           touched_.capacity() * sizeof(NodeId);
+  }
+
+ private:
+  std::vector<double> values_;
+  std::vector<NodeId> touched_;
 };
 
 /// Sparse residue vectors r_s^(0..max_hop) with maintained hop sums.

@@ -22,7 +22,7 @@ size_t QueryWorkspace::CollectWalkStarts() {
 
 size_t QueryWorkspace::MemoryBytes() const {
   size_t b = result.MemoryBytes() + residues.MemoryBytes() +
-             hop_index.MemoryBytes() +
+             next_hop.MemoryBytes() + hop_index.MemoryBytes() +
              norm_bound.capacity() * sizeof(double) +
              starts.capacity() * sizeof(starts[0]) +
              weights.capacity() * sizeof(double) + alias.MemoryBytes() +

@@ -1,14 +1,22 @@
 // Reusable per-query scratch state for the HKPR estimators.
 //
 // Every Estimate() call needs the same family of buffers: a reserve/result
-// vector, a multi-hop residue table with its dense node index, the HK-Push+
-// bound array, flattened walk-start arrays with their alias table, and (for
-// the parallel estimators) per-thread walk accumulators. Allocating these
-// from scratch per query is the dominant fixed cost of small queries; a
-// QueryWorkspace owns all of them and is reset — never reallocated —
-// between queries, so a steady-state query stream performs zero heap
-// allocations (verified by the workspace tests with the AllocCounters hook
-// in common/mem_tracker.h).
+// vector, a multi-hop residue table with the dense per-node helpers that
+// fill its hops, the HK-Push+ bound array, flattened walk-start arrays with
+// their alias table, and (for the parallel estimators) per-thread walk
+// accumulators. Allocating these from scratch per query is the dominant
+// fixed cost of small queries; a QueryWorkspace owns all of them and is
+// reset — never reallocated — between queries, so a steady-state query
+// stream performs zero heap allocations (verified by the workspace tests
+// with the AllocCounters hook in common/mem_tracker.h).
+//
+// The dense helpers are sized to the largest graph the workspace has served
+// and hold their sentinel in every slot between queries: HK-Push and
+// HK-Push+ fill hops through `next_hop` (12 bytes per node), HK-Relax
+// through `hop_index` (4 bytes per node); a workspace that only runs one of
+// them never grows the other. Both count in MemoryBytes() but not in
+// EstimatorStats::peak_bytes, which stays the per-query residue and result
+// state of the paper's Figure 5.
 //
 // A workspace is not thread-safe; the intended pattern is one workspace per
 // serving thread (see BatchQueryEngine in hkpr/queries.h). The per-thread
@@ -50,8 +58,13 @@ class QueryWorkspace {
   /// Residue table for the push phase; Reset() between queries.
   ResidueTable residues{0};
 
-  /// Node -> entry index of the residue hop being filled (see HopIndex).
-  /// Sized to the largest graph seen; every slot is kNone between queries.
+  /// Dense accumulator and first-touch list of the residue hop HK-Push /
+  /// HK-Push+ is filling (see HopAccumulator). Every value slot is -0.0
+  /// between queries.
+  HopAccumulator next_hop;
+
+  /// Node -> entry index of the Taylor level HK-Relax is filling (see
+  /// HopIndex). Every slot is kNone between queries.
   HopIndex hop_index;
 
   /// HK-Push+ per-hop normalized-residue upper bounds.

@@ -240,22 +240,30 @@ TEST(PushGoldenTest, TeaPlusMatchesRecordedHashes) {
   ExpectHash("tea+ t=5 larger", 0xf4badcd1c50ba3d9ULL, actual);
 }
 
+enum class ReuseKind { kPlus, kPush, kRelax };
+
 /// One query of the reuse sequence: a push variant on a graph.
 struct ReuseQuery {
   const Graph* graph;
   NodeId seed;
   PlusCase plus_case;
-  bool relax;
+  ReuseKind kind;
 };
 
 uint64_t RunReuseQuery(const ReuseQuery& q, QueryWorkspace& ws) {
-  if (q.relax) {
-    HkRelaxEstimator relax(*q.graph, HkRelaxOptions{5.0, 1e-4});
-    EstimatorStats stats;
-    relax.EstimateInto(q.seed, ws, &stats);
-    return HashStats(ws, stats);
-  }
   const HeatKernel kernel(5.0);
+  switch (q.kind) {
+    case ReuseKind::kRelax: {
+      HkRelaxEstimator relax(*q.graph, HkRelaxOptions{5.0, 1e-4});
+      EstimatorStats stats;
+      relax.EstimateInto(q.seed, ws, &stats);
+      return HashStats(ws, stats);
+    }
+    case ReuseKind::kPush:
+      return HashPush(ws, HkPushInto(*q.graph, kernel, q.seed, 1e-4, ws));
+    case ReuseKind::kPlus:
+      break;
+  }
   return HashPush(ws, HkPushPlusInto(*q.graph, kernel, q.seed,
                                      PlusOptions(q.plus_case), ws));
 }
@@ -266,18 +274,21 @@ TEST(PushGoldenTest, WorkspaceReuseMatchesFreshWorkspace) {
   ASSERT_LT(small.NumNodes(), larger.NumNodes());
   const NodeId hub_small = Seeds(small).back();
   const NodeId hub_larger = Seeds(larger).back();
+  constexpr ReuseKind kPlus = ReuseKind::kPlus;
   // Budget hit, then early exit, then a larger and a smaller graph; each
   // exit path leaves a partly filled hop behind for the next query.
   const std::vector<ReuseQuery> sequence = {
-      {&small, hub_small, PlusCase::kBudgetHit, false},
-      {&small, 17, PlusCase::kEarlyExit, false},
-      {&larger, hub_larger, PlusCase::kFullDrain, false},
-      {&larger, 5, PlusCase::kBudgetHit, false},
-      {&small, 123, PlusCase::kFullDrain, false},
-      {&larger, hub_larger, PlusCase::kEarlyExit, true},
-      {&small, hub_small, PlusCase::kEarlyExit, false},
-      {&small, 0, PlusCase::kBudgetHit, true},
-      {&small, 0, PlusCase::kFullDrain, false},
+      {&small, hub_small, PlusCase::kBudgetHit, kPlus},
+      {&small, 17, PlusCase::kEarlyExit, kPlus},
+      {&larger, hub_larger, PlusCase::kFullDrain, kPlus},
+      {&larger, 5, PlusCase::kBudgetHit, kPlus},
+      {&small, 123, PlusCase::kFullDrain, kPlus},
+      {&larger, hub_larger, PlusCase::kEarlyExit, ReuseKind::kRelax},
+      {&small, hub_small, PlusCase::kEarlyExit, kPlus},
+      {&larger, 17, PlusCase::kFullDrain, ReuseKind::kPush},
+      {&small, 0, PlusCase::kBudgetHit, ReuseKind::kRelax},
+      {&small, 0, PlusCase::kFullDrain, kPlus},
+      {&small, hub_small, PlusCase::kFullDrain, ReuseKind::kPush},
   };
   QueryWorkspace reused;
   for (size_t i = 0; i < sequence.size(); ++i) {
@@ -285,7 +296,9 @@ TEST(PushGoldenTest, WorkspaceReuseMatchesFreshWorkspace) {
     EXPECT_EQ(RunReuseQuery(sequence[i], reused),
               RunReuseQuery(sequence[i], fresh))
         << "query " << i;
-    // Every exit path hands the node index back with all slots empty.
+    // Every exit path hands both dense helpers back with every slot
+    // holding its sentinel (O(n) scans).
+    EXPECT_TRUE(reused.next_hop.IsClear()) << "query " << i;
     EXPECT_TRUE(reused.hop_index.IsReleased()) << "query " << i;
   }
 }

@@ -3,8 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <utility>
+#include <vector>
 
+#include "common/random.h"
 #include "graph/generators.h"
 #include "hkpr/power_method.h"
 #include "hkpr/push.h"
@@ -198,6 +204,69 @@ TEST(HkPushPlusTest, MassConservation) {
   EXPECT_NEAR(push.reserve.Sum() + push.residues.TotalSum(), 1.0, 1e-9);
 }
 
+/// Checks MayRaiseNormBound on one triple: it may pass a case where the
+/// exact update fl(r/d) > bound is false, but never reject one where it is
+/// true. Counts both outcomes.
+struct PreTestTally {
+  uint64_t raises = 0;
+  uint64_t skipped = 0;
+};
+
+void CheckPreTest(double r, uint32_t d, double bound, PreTestTally& tally) {
+  ASSERT_GE(r, 0.0);
+  const bool raises = r / d > bound;
+  const bool passes = MayRaiseNormBound(r, d, bound);
+  if (raises) {
+    ++tally.raises;
+    EXPECT_TRUE(passes) << "r=" << r << " d=" << d << " bound=" << bound;
+  }
+  if (!passes) ++tally.skipped;
+}
+
+/// Steps `x` by `ulps` doubles (toward +inf when positive), stopping at 0.
+double StepUlps(double x, int ulps) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (; ulps > 0; --ulps) x = std::nextafter(x, inf);
+  for (; ulps < 0 && x > 0.0; ++ulps) x = std::nextafter(x, 0.0);
+  return x;
+}
+
+TEST(HkPushPlusTest, NormBoundPreTestNeverRejectsARaise) {
+  constexpr uint32_t kMaxDegree = 0xFFFFFFFFu;
+  const std::vector<double> bounds = {
+      0.0,   std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(), 1e-12, 3.3e-11, 1e-9, 1e-6,
+      1.0 / 3.0, 0.1, 1.0};
+  const std::vector<uint32_t> degrees = {1, 2, 3, 7, 1000, 1u << 31,
+                                         kMaxDegree - 1, kMaxDegree};
+  PreTestTally tally;
+  // Edge triples: r within 4 ulps either side of fl(bound * d), plus r = 0.
+  for (double bound : bounds) {
+    for (uint32_t d : degrees) {
+      CheckPreTest(0.0, d, bound, tally);
+      for (int ulps = -4; ulps <= 4; ++ulps) {
+        CheckPreTest(StepUlps(bound * d, ulps), d, bound, tally);
+      }
+    }
+  }
+  // Random triples: bound log-uniform in [1e-12, 1], d log-uniform in
+  // [1, 2^32 - 1], r near fl(bound * d) or anywhere in [0, 2 * bound * d).
+  Rng rng(20190626);
+  for (int i = 0; i < 200000; ++i) {
+    const double bound = std::pow(10.0, -12.0 * rng.UniformDouble());
+    const uint32_t d = static_cast<uint32_t>(std::min<double>(
+        kMaxDegree, std::floor(std::exp2(32.0 * rng.UniformDouble()))));
+    ASSERT_GE(d, 1u);
+    const double product = bound * d;
+    CheckPreTest(StepUlps(product, static_cast<int>(rng.UniformInt(9)) - 4),
+                 d, bound, tally);
+    CheckPreTest(2.0 * product * rng.UniformDouble(), d, bound, tally);
+  }
+  // Both outcomes occur, so the test is neither vacuous nor trivially true.
+  EXPECT_GT(tally.raises, 100000u);
+  EXPECT_GT(tally.skipped, 100000u);
+}
+
 TEST(ResidueTableTest, SumsMaintained) {
   ResidueTable table(3);
   const uint32_t node5 = table.Append(0, 5, 0.5);
@@ -256,6 +325,43 @@ TEST(HopIndexTest, ReleaseRestoresSentinelsAndGrowthKeepsThem) {
   index.Reserve(32);
   EXPECT_TRUE(index.IsReleased());
   EXPECT_GE(index.MemoryBytes(), 32 * sizeof(uint32_t));
+}
+
+TEST(HopAccumulatorTest, FlushListsFirstTouchOrderAndRestoresSentinels) {
+  HopAccumulator acc;
+  acc.Reserve(8);
+  EXPECT_TRUE(acc.IsClear());
+  double* values = acc.values();
+  NodeId* touched = acc.touched();
+  size_t tail = 0;
+  // The drain's branch-free fill: add, write the tail, advance on -0.0.
+  for (const auto& [u, share] : {std::pair<NodeId, double>{5, 0.25},
+                                 {2, 0.5},
+                                 {5, 0.125},
+                                 {7, 0.0},
+                                 {2, 1.0}}) {
+    const double before = values[u];
+    values[u] = before + share;
+    touched[tail] = u;
+    tail += std::signbit(before);
+  }
+  ASSERT_EQ(tail, 3u);
+  EXPECT_FALSE(acc.IsClear());
+  std::vector<ResidueEntry> hop;
+  acc.Flush(tail, hop);
+  ASSERT_EQ(hop.size(), 3u);
+  EXPECT_EQ(hop[0].key, 5u);
+  EXPECT_EQ(hop[0].value, 0.375);
+  EXPECT_EQ(hop[1].key, 2u);
+  EXPECT_EQ(hop[1].value, 1.5);
+  // A zero share is still a touch, stored as +0.0.
+  EXPECT_EQ(hop[2].key, 7u);
+  EXPECT_EQ(std::bit_cast<uint64_t>(hop[2].value), 0u);
+  EXPECT_TRUE(acc.IsClear());
+  acc.Reserve(4);  // never shrinks
+  acc.Reserve(32);
+  EXPECT_TRUE(acc.IsClear());
+  EXPECT_GE(acc.MemoryBytes(), 32 * (sizeof(double) + sizeof(NodeId)));
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "common/mem_tracker.h"
 #include "graph/generators.h"
 #include "hkpr/monte_carlo.h"
+#include "hkpr/push.h"
 #include "hkpr/push_estimator.h"
 #include "hkpr/queries.h"
 #include "hkpr/tea.h"
@@ -324,6 +325,30 @@ TEST(WorkspaceTest, SequentialTeaPlusSteadyStateIsAllocationFree) {
   });
   EXPECT_GT(stats.num_walks, 0u) << "test must exercise the walk phase";
   EXPECT_EQ(allocs, 0u);
+}
+
+TEST(WorkspaceTest, PushAccumulatorSteadyStateIsAllocationFree) {
+  // HK-Push and HK-Push+ fill hops through the workspace's dense
+  // accumulator, which is sized to the largest graph seen. Once it and the
+  // hop vectors have warmed up on the larger graph, queries on either graph
+  // touch the heap zero times.
+  Graph large = PowerlawCluster(600, 4, 0.3, 8);
+  Graph small = PowerlawCluster(200, 3, 0.3, 9);
+  const HeatKernel kernel(5.0);
+  HkPushPlusOptions options;
+  options.delta = 1e-5;
+  QueryWorkspace ws;
+  const auto run_all = [&] {
+    for (const Graph* g : {&large, &small}) {
+      HkPushInto(*g, kernel, 3, 1e-5, ws);
+      HkPushPlusInto(*g, kernel, 3, options, ws);
+    }
+  };
+  run_all();
+  EXPECT_GE(ws.next_hop.MemoryBytes(),
+            large.NumNodes() * (sizeof(double) + sizeof(NodeId)));
+  EXPECT_EQ(AllocationsDuring(run_all), 0u);
+  EXPECT_TRUE(ws.next_hop.IsClear());
 }
 
 TEST(WorkspaceTest, PoolBackedTeaPlusSteadyStateIsAllocationFree) {
